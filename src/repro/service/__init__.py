@@ -15,8 +15,9 @@ Layers (thinnest on top):
   asyncio coordinator + scheduler draining the queue onto its engine
   roster over one shared :class:`~repro.engine.session.Session`
   (single-writer engine thread, optional persistent
-  ``multiprocessing`` pool), plus the blocking :func:`serve` entry
-  point.
+  ``multiprocessing`` pool), the client operations (``ping``,
+  ``submit``, ``status``, ``cancel``, ``jobs``) both frontends call,
+  and the blocking :func:`serve` entry point.
 * :mod:`repro.service.worker` — :class:`EngineWorker`: the worker
   process behind ``serve --join``, contributing a remote engine to a
   coordinator.

@@ -94,7 +94,7 @@ def backoff_wait(hint, attempt, cap, jitter, rng):
 
 
 class RetryingClientMixin:
-    """The retry/backoff contract the TCP and HTTP clients share.
+    """The client contract the TCP and HTTP clients share.
 
     A transport mixes this in, calls :meth:`_init_retry` from its
     constructor, and funnels its submit through
@@ -105,6 +105,10 @@ class RetryingClientMixin:
     deadline; every rejection absorbed along the way — *including* the
     final one a budget-exhausted submit gives up on — is counted in
     :attr:`last_submit_rejections`.
+
+    The result side is shared too: a transport's ``results`` decodes
+    each wire entry with :meth:`_decode_entry`, and :meth:`collect`
+    is built on the transport's ``status`` and ``results``.
     """
 
     def _init_retry(self, retry_budget, retry_cap, retry_jitter,
@@ -148,6 +152,28 @@ class RetryingClientMixin:
                     raise
                 attempt += 1
                 time.sleep(wait)
+
+    @staticmethod
+    def _decode_entry(entry, library=None):
+        """One ``{"index", "result" | "cancelled"}`` wire entry as
+        ``(index, PointResult)``, or ``(index, None)`` when cancelled."""
+        if entry.get("cancelled"):
+            return entry["index"], None
+        return entry["index"], point_result_from_dict(entry["result"],
+                                                      library=library)
+
+    def collect(self, job_id, library=None):
+        """Block until terminal; results in submission order.
+
+        Returns a list with one slot per submitted point:
+        :class:`PointResult` (``error`` possibly set) or ``None`` for a
+        cancelled point.
+        """
+        status = self.status(job_id)
+        slots = [None] * status["total"]
+        for index, result in self.results(job_id, library=library):
+            slots[index] = result
+        return slots
 
 
 class ServiceClient(RetryingClientMixin):
@@ -352,12 +378,7 @@ class ServiceClient(RetryingClientMixin):
                     if message.get("done"):
                         self.last_status = message.get("status")
                         return
-                    index = message["index"]
-                    if message.get("cancelled"):
-                        yield index, None
-                    else:
-                        yield index, point_result_from_dict(
-                            message["result"], library=library)
+                    yield self._decode_entry(message, library)
             finally:
                 try:
                     stream.close()
@@ -365,19 +386,6 @@ class ServiceClient(RetryingClientMixin):
                     pass  # flushing a dead link; the socket closes next
         finally:
             sock.close()
-
-    def collect(self, job_id, library=None):
-        """Block until terminal; results in submission order.
-
-        Returns a list with one slot per submitted point:
-        :class:`PointResult` (``error`` possibly set) or ``None`` for a
-        cancelled point.
-        """
-        status = self.status(job_id)
-        slots = [None] * status["total"]
-        for index, result in self.results(job_id, library=library):
-            slots[index] = result
-        return slots
 
     @staticmethod
     def _coerce_point(point):

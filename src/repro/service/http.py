@@ -4,9 +4,13 @@ The raw line-JSON TCP protocol is the fabric's spine: one persistent
 connection per worker, streams, leases.  Wide fan-in — hundreds of
 polling clients, dashboards, curl — wants the opposite shape: small
 stateless requests with real HTTP caching semantics.  This module
-mounts exactly that over the *same* :class:`~repro.service.queue.
-JobQueue` and engine roster the TCP frontend drives, with no new
-dependencies (stdlib ``http.server``, threaded):
+mounts exactly that over the *same* client operations the TCP frontend
+dispatches to (:meth:`~repro.service.server.ExplorationService.ping`,
+``submit``, ``job``/``status``, ``cancel``, ``jobs`` and
+``result_entries``), with no new dependencies (stdlib ``http.server``,
+threaded).  The gateway owns only what is HTTP's own: routing, API-key
+auth, ETags and 304s, and its ``transport``/``http_requests``/
+``http_not_modified`` ping fields.
 
     POST   /v1/jobs              submit a batch of design points
     GET    /v1/jobs/{id}         job status document
@@ -55,9 +59,13 @@ import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.errors import ReproError
-from repro.io.serialize import design_point_to_dict, point_result_to_dict
+from repro.io.serialize import design_point_to_dict
 from repro.service import protocol
-from repro.service.queue import QueueFullError
+from repro.service.queue import (
+    JobExpiredError,
+    QueueFullError,
+    UnknownJobError,
+)
 
 #: Cap on one results long-poll (seconds); clients page in a loop, so
 #: a longer wait buys nothing but teardown latency (the TCP lease cap).
@@ -73,6 +81,10 @@ CACHE_REVALIDATE = "no-cache"
 
 #: The HTML documents' content type (reports, dashboard).
 HTML_CONTENT_TYPE = "text/html; charset=utf-8"
+
+#: Seconds between the serving thread's shutdown checks; ``stop``
+#: waits up to this long (the stdlib default is 0.5 s).
+SHUTDOWN_POLL = 0.05
 
 
 class ApiKey:
@@ -180,10 +192,10 @@ class HttpGateway:
 
     Runs a ``ThreadingHTTPServer`` on its own daemon threads next to
     the service's asyncio loop; start with :meth:`start`, stop with
-    :meth:`stop`.  All job state is accessed through coroutines on the
-    service loop — the gateway owns no queue state of its own beyond
-    per-job document memos (stored on the jobs themselves, so they are
-    garbage-collected with them).
+    :meth:`stop`.  All job state is accessed through the service's
+    operations, run on the service loop — the gateway owns no queue
+    state of its own beyond per-job document memos (stored on the jobs
+    themselves, so they are garbage-collected with them).
     """
 
     def __init__(self, service, api_keys=None):
@@ -224,6 +236,7 @@ class HttpGateway:
         self.address = self._httpd.server_address[:2]
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
+            kwargs={"poll_interval": SHUTDOWN_POLL},
             name="lycos-http", daemon=True)
         self._thread.start()
         return self
@@ -288,15 +301,6 @@ class HttpGateway:
             raise _HttpError(503, "service loop did not answer in "
                                   "time") from None
 
-    def _get_job(self, job_id):
-        """The named job; 404 unknown, 410 for a GC-expired one."""
-        try:
-            return self.service.queue.get(job_id)
-        except ReproError as exc:
-            if job_id in self.service.queue._expired:
-                raise _HttpError(410, str(exc)) from None
-            raise _HttpError(404, str(exc)) from None
-
     # ------------------------------------------------------------------
     # Documents + ETags (all computed on the service loop)
     # ------------------------------------------------------------------
@@ -333,9 +337,7 @@ class HttpGateway:
     def _status_projection(self, job):
         """The job's status document *without* the clock-driven
         ``expires_in`` (that travels as the X-Expires-In header)."""
-        document = self.service.queue.status(job)
-        document.pop("expires_in", None)
-        return document
+        return _without_expiry(self.service.queue.status(job))
 
     def _expires_header(self, job):
         document = self.service.queue.status(job)
@@ -344,8 +346,7 @@ class HttpGateway:
 
     async def status_document(self, job_id):
         """``(body, etag, expires_header, immutable)`` of a status."""
-        self.service.queue.collect_garbage()
-        job = self._get_job(job_id)
+        job = self.service.job(job_id)
         body = canonical_json(self._status_projection(job))
         return (body, self._etag(job, body),
                 self._expires_header(job), job.finished)
@@ -359,8 +360,7 @@ class HttpGateway:
         it pays one memo lookup and, with ``If-None-Match``, sends no
         body at all.
         """
-        self.service.queue.collect_garbage()
-        job = self._get_job(job_id)
+        job = self.service.job(job_id)
         async with job.condition:
             order = list(job.order)
             stamp = (len(order), job.state)
@@ -368,19 +368,10 @@ class HttpGateway:
         if memo is not None and memo[0] == stamp:
             _, body, etag = memo
         else:
-            entries = []
-            for index in order:
-                result = job.results.get(index)
-                if result is None:
-                    entries.append({"index": index, "cancelled": True})
-                else:
-                    entries.append({
-                        "index": index,
-                        "result": point_result_to_dict(result)})
             body = canonical_json({
                 "job": job.id,
                 "total": len(job.points),
-                "results": entries,
+                "results": self.service.result_entries(job, order),
                 "status": self._status_projection(job)})
             etag = self._etag(job, body)
             job._http_results_memo = (stamp, body, etag)
@@ -395,8 +386,7 @@ class HttpGateway:
         through these exactly like the TCP stream, without holding a
         server connection per client between completions.
         """
-        self.service.queue.collect_garbage()
-        job = self._get_job(job_id)
+        job = self.service.job(job_id)
         deadline = asyncio.get_running_loop().time() + wait
         async with job.condition:
             while len(job.order) <= after and not job.finished:
@@ -410,24 +400,16 @@ class HttpGateway:
                     break
             order = list(job.order[after:])
             finished = job.finished
-        entries = []
-        for index in order:
-            result = job.results.get(index)
-            if result is None:
-                entries.append({"index": index, "cancelled": True})
-            else:
-                entries.append({"index": index,
-                                "result": point_result_to_dict(result)})
         # ``order`` was read under the condition while ``finished`` was
         # sampled, so a finished job's page always covers the tail:
         # ``done`` simply mirrors the terminal state.
         document = {
             "job": job.id,
-            "results": entries,
-            "next": after + len(entries),
+            "results": self.service.result_entries(job, order),
+            "next": after + len(order),
             "done": finished,
         }
-        if document["done"]:
+        if finished:
             document["status"] = self._status_projection(job)
         return canonical_json(document)
 
@@ -445,8 +427,7 @@ class HttpGateway:
         """
         from repro.report.html import render_html, sweep_document
 
-        self.service.queue.collect_garbage()
-        job = self._get_job(job_id)
+        job = self.service.job(job_id)
         async with job.condition:
             order = list(job.order)
             stamp = (len(order), job.state)
@@ -497,25 +478,12 @@ class HttpGateway:
         """
         from repro.report.html import dashboard_document, render_html
 
-        service = self.service
-        queue = service.queue
-        queue.collect_garbage()
-        stats = service.session.stats
-        cap = queue.max_pending
-        info = {
-            "protocol": protocol.PROTOCOL_VERSION,
-            "transport": "http",
-            "workers": service.workers,
-            "scheduler": queue.scheduler.name,
-            "depth": queue.depth,
-            "queue_cap": "unbounded" if cap is None else cap,
-            "program_compiles": stats.miss_count("compile"),
-            "program_store_hits": stats.hit_count("compile"),
-            "local_engines": service.local_engines,
-            "engines": service.roster.status(),
-        }
-        jobs = [self._status_projection(queue.jobs[name])
-                for name in sorted(queue.jobs)]
+        info = self.service.ping()
+        del info["jobs"]  # the jobs table below lists them
+        info["transport"] = "http"
+        if info["queue_cap"] is None:
+            info["queue_cap"] = "unbounded"
+        jobs = [_without_expiry(status) for status in self.service.jobs()]
         body = render_html(dashboard_document(info, jobs))
         body = body.encode("utf-8")
         etag = '"dash-%s"' % hashlib.sha256(body).hexdigest()[:16]
@@ -523,21 +491,14 @@ class HttpGateway:
 
     async def submit(self, points, client, weight, objective, quota):
         """Admit one batch; the 429 mapping happens in the handler."""
-        self.service.queue.collect_garbage()
-        job = self.service.queue.submit(points, client=client,
-                                        weight=weight,
-                                        objective=objective,
-                                        quota=quota)
-        return canonical_json({"ok": True, "job": job.id,
-                               "total": len(job.points),
-                               "objective": job.objective})
+        return canonical_json(dict(
+            self.service.submit(points, client, weight, objective,
+                                quota=quota), ok=True))
 
     async def cancel(self, job_id):
-        job = self._get_job(job_id)
-        cancelled = await self.service.queue.cancel(job_id)
-        document = self._status_projection(job)
-        return canonical_json({"ok": True, "cancelled": cancelled,
-                               "status": document})
+        document = await self.service.cancel(job_id)
+        _without_expiry(document["status"])
+        return canonical_json(dict(document, ok=True))
 
     async def jobs(self):
         """Every known job's full status, the TCP ``jobs`` op's twin.
@@ -545,32 +506,14 @@ class HttpGateway:
         A volatile listing (jobs come and go, ``expires_in`` ticks),
         so it is served uncached rather than ETagged.
         """
-        queue = self.service.queue
-        queue.collect_garbage()
-        return canonical_json({
-            "ok": True,
-            "jobs": [queue.status(queue.jobs[name])
-                     for name in sorted(queue.jobs)]})
+        return canonical_json({"ok": True, "jobs": self.service.jobs()})
 
     async def ping(self):
-        service = self.service
-        stats = service.session.stats
-        return canonical_json({
-            "ok": True,
-            "protocol": protocol.PROTOCOL_VERSION,
-            "transport": "http",
-            "workers": service.workers,
-            "jobs": len(service.queue.jobs),
-            "scheduler": service.queue.scheduler.name,
-            "depth": service.queue.depth,
-            "queue_cap": service.queue.max_pending,
-            "program_compiles": stats.miss_count("compile"),
-            "program_store_hits": stats.hit_count("compile"),
-            "local_engines": service.local_engines,
-            "engines": service.roster.status(),
-            "http_requests": self.requests,
-            "http_not_modified": self.not_modified,
-        })
+        """The service's ``ping`` plus this gateway's own fields."""
+        return canonical_json(dict(
+            self.service.ping(), ok=True, transport="http",
+            http_requests=self.requests,
+            http_not_modified=self.not_modified))
 
     # Counter updates come from handler threads.
     def count_request(self):
@@ -580,6 +523,12 @@ class HttpGateway:
     def count_not_modified(self):
         with self._counter_lock:
             self.not_modified += 1
+
+
+def _without_expiry(status):
+    """``status`` minus its clock-driven ``expires_in`` (in place)."""
+    status.pop("expires_in", None)
+    return status
 
 
 def _etag_matches(header, etag):
@@ -678,6 +627,12 @@ class _Handler(BaseHTTPRequestHandler):
         except _HttpError as exc:
             self._send_json(exc.status, canonical_json(exc.document),
                             extra=exc.headers)
+        except UnknownJobError as exc:
+            # An expired job is gone for good (410); an unknown id may
+            # simply be wrong (404).
+            status = 410 if isinstance(exc, JobExpiredError) else 404
+            self._send_json(status, canonical_json(
+                {"ok": False, "error": str(exc)}))
         except QueueFullError as exc:
             self._send_json(
                 429, canonical_json({

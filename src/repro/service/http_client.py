@@ -4,10 +4,10 @@
 ServiceClient`'s surface — ``ping`` / ``submit`` / ``status`` /
 ``results`` / ``collect`` / ``cancel`` — over the REST endpoints of
 :mod:`~repro.service.http`, and *shares* (not copies) the TCP
-client's retry/backoff contract: queue-full and quota 429s carry
-``Retry-After``, which is retried with the one capped-exponential
-jittered helper of :mod:`~repro.service.client`, rejection accounting
-included.
+client's ``collect``, result decoding and retry/backoff contract:
+queue-full and quota 429s carry ``Retry-After``, which is retried with
+the one capped-exponential jittered helper of
+:mod:`~repro.service.client`, rejection accounting included.
 
 What HTTP adds over the TCP stream is conditional polling: the client
 remembers the strong ETag of every status / results document it has
@@ -29,7 +29,6 @@ import json
 import urllib.parse
 
 from repro.errors import ReproError
-from repro.io.serialize import point_result_from_dict
 from repro.service.client import (
     RetryingClientMixin,
     ServiceClient,
@@ -236,29 +235,11 @@ class HttpServiceClient(RetryingClientMixin):
                 "GET", "/v1/jobs/%s/results?after=%d&wait=%s"
                 % (job_id, after, self.poll_wait))
             for entry in page.get("results", []):
-                index = entry["index"]
-                if entry.get("cancelled"):
-                    yield index, None
-                else:
-                    yield index, point_result_from_dict(
-                        entry["result"], library=library)
+                yield self._decode_entry(entry, library)
             after = page.get("next", after)
             if page.get("done"):
                 self.last_status = page.get("status")
                 return
-
-    def collect(self, job_id, library=None):
-        """Block until terminal; results in submission order.
-
-        Same contract as the TCP client's ``collect``: one slot per
-        submitted point, ``PointResult`` (``error`` possibly set) or
-        ``None`` for a cancelled point.
-        """
-        status = self.status(job_id)
-        slots = [None] * status["total"]
-        for index, result in self.results(job_id, library=library):
-            slots[index] = result
-        return slots
 
     def results_document(self, job_id, library=None):
         """The full results document, conditionally fetched.

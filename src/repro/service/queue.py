@@ -84,6 +84,14 @@ class QueueFullError(ReproError):
         self.retry_after = retry_after
 
 
+class UnknownJobError(ReproError):
+    """A job id the queue does not hold (never held, or expired)."""
+
+
+class JobExpiredError(UnknownJobError):
+    """A job id the queue held until completed-job GC expired it."""
+
+
 class Job:
     """One submitted batch and everything known about its progress."""
 
@@ -413,13 +421,14 @@ class JobQueue:
             self.client_depth.pop(job.client, None)
 
     def get(self, job_id):
-        """The named job; :class:`ReproError` when unknown or expired."""
+        """The named job; :class:`UnknownJobError` when unknown, its
+        :class:`JobExpiredError` subclass when GC expired it."""
         job = self.jobs.get(job_id)
         if job is None:
             if job_id in self._expired:
-                raise ReproError("job %r has expired (completed-job GC)"
-                                 % (job_id,))
-            raise ReproError("unknown job %r" % (job_id,))
+                raise JobExpiredError(
+                    "job %r has expired (completed-job GC)" % (job_id,))
+            raise UnknownJobError("unknown job %r" % (job_id,))
         return job
 
     def status(self, job, now=None):
@@ -454,9 +463,9 @@ class JobQueue:
     def collect_garbage(self, now=None):
         """Expire finished jobs past the TTL / retention bound.
 
-        Called by the server on every request dispatch and whenever a
-        job finishes; returns the number of jobs dropped.  Running and
-        queued jobs are never touched.
+        Called by the service at the entry of every client operation
+        and whenever a job finishes; returns the number of jobs
+        dropped.  Running and queued jobs are never touched.
         """
         now = time.monotonic() if now is None else now
         victims = []

@@ -76,7 +76,6 @@ from repro.service.engine import (
 )
 from repro.service.queue import (
     PENDING,
-    RUNNING,
     JobQueue,
     QueueFullError,
     scheduler_class,
@@ -405,6 +404,83 @@ class ExplorationService:
         return absorbed
 
     # ------------------------------------------------------------------
+    # Client operations: the one implementation both frontends call
+    # ------------------------------------------------------------------
+    # Each operation runs on the service loop, enforces job retention
+    # once at its entry (so an idle-then-polled service trims itself
+    # before answering) and returns its canonical document; the TCP
+    # dispatcher and the HTTP gateway only encode it.
+    def ping(self):
+        """Liveness plus queue, program-store and roster info.
+
+        ``program_compiles`` vs ``program_store_hits`` is the program
+        store's economy: compiles the engine (or its pool workers,
+        whose deltas merge into the session stats) actually paid vs
+        compiles the persistent store absorbed.  A long-lived warm
+        service shows hits climbing while compiles stay flat.
+        """
+        self.queue.collect_garbage()
+        stats = self.session.stats
+        return {"protocol": protocol.PROTOCOL_VERSION,
+                "workers": self.workers,
+                "jobs": len(self.queue.jobs),
+                "scheduler": self.queue.scheduler.name,
+                "depth": self.queue.depth,
+                "queue_cap": self.queue.max_pending,
+                "program_compiles": stats.miss_count("compile"),
+                "program_store_hits": stats.hit_count("compile"),
+                "local_engines": self.local_engines,
+                "engines": self.roster.status()}
+
+    def submit(self, points, client, weight, objective, quota=None):
+        """Admit one batch; :class:`QueueFullError` on backpressure."""
+        self.queue.collect_garbage()
+        job = self.queue.submit(points, client=client, weight=weight,
+                                objective=objective, quota=quota)
+        return {"job": job.id, "total": len(job.points),
+                "objective": job.objective}
+
+    def job(self, job_id):
+        """The named job (:class:`~repro.service.queue.UnknownJobError`
+        when unknown or expired)."""
+        self.queue.collect_garbage()
+        return self.queue.get(job_id)
+
+    def status(self, job_id):
+        """The named job's status document."""
+        return self.queue.status(self.job(job_id))
+
+    async def cancel(self, job_id):
+        """Cancel the job's pending points; the count plus its status."""
+        job = self.job(job_id)
+        cancelled = await self.queue.cancel(job.id)
+        return {"cancelled": cancelled, "status": self.queue.status(job)}
+
+    def jobs(self):
+        """Every known job's status document, by job id."""
+        self.queue.collect_garbage()
+        return [self.queue.status(self.queue.jobs[name])
+                for name in sorted(self.queue.jobs)]
+
+    @staticmethod
+    def result_entries(job, order):
+        """The result entries of the points ``order`` names.
+
+        One ``{"index", "result"}`` entry per completed point and one
+        ``{"index", "cancelled": true}`` per cancelled point — the
+        shape of both the TCP stream lines and the HTTP pages.
+        """
+        entries = []
+        for index in order:
+            result = job.results.get(index)
+            if result is None:
+                entries.append({"index": index, "cancelled": True})
+            else:
+                entries.append({"index": index,
+                                "result": point_result_to_dict(result)})
+        return entries
+
+    # ------------------------------------------------------------------
     # Protocol handling
     # ------------------------------------------------------------------
     async def _handle(self, reader, writer):
@@ -496,59 +572,30 @@ class ExplorationService:
 
     async def _dispatch_request(self, request, writer, conn):
         op = request["op"]
-        # Retention is enforced at every touch point, so an idle-then
-        # -polled service trims itself before answering.
-        self.queue.collect_garbage()
+        reply = None  # the fabric handlers write their own replies
         if op == "ping":
-            # Program-store economy: compiles the engine (or its pool
-            # workers — their deltas merge into the session stats)
-            # actually paid vs compiles the persistent store absorbed.
-            # A long-lived warm service shows hits climbing while
-            # compiles stay flat across jobs and restarts.
-            stats = self.session.stats
-            writer.write(protocol.encode(protocol.ok(
-                protocol=protocol.PROTOCOL_VERSION,
-                workers=self.workers, jobs=len(self.queue.jobs),
-                scheduler=self.queue.scheduler.name,
-                depth=self.queue.depth,
-                queue_cap=self.queue.max_pending,
-                program_compiles=stats.miss_count("compile"),
-                program_store_hits=stats.hit_count("compile"),
-                local_engines=self.local_engines,
-                engines=self.roster.status())))
+            reply = protocol.ok(**self.ping())
         elif op == "submit":
             points = protocol.submission_points(request)
             client, weight = protocol.submission_meta(request)
             objective = protocol.submission_objective(request)
             try:
-                job = self.queue.submit(points, client=client,
-                                        weight=weight,
-                                        objective=objective)
+                reply = protocol.ok(**self.submit(points, client, weight,
+                                                  objective))
             except QueueFullError as exc:
-                writer.write(protocol.encode(protocol.error(
-                    exc, retry_after=exc.retry_after)))
-            else:
-                writer.write(protocol.encode(protocol.ok(
-                    job=job.id, total=len(job.points),
-                    objective=job.objective)))
+                reply = protocol.error(exc, retry_after=exc.retry_after)
         elif op == "status":
-            job = self.queue.get(protocol.job_name(request))
-            writer.write(protocol.encode(protocol.ok(
-                status=self.queue.status(job))))
+            reply = protocol.ok(
+                status=self.status(protocol.job_name(request)))
         elif op == "results":
-            job = self.queue.get(protocol.job_name(request))
-            await self._stream_results(job, writer)
+            await self._stream_results(
+                self.job(protocol.job_name(request)), writer)
             return
         elif op == "cancel":
-            cancelled = await self.queue.cancel(
-                protocol.job_name(request))
-            job = self.queue.get(request["job"])
-            writer.write(protocol.encode(protocol.ok(
-                cancelled=cancelled, status=self.queue.status(job))))
+            reply = protocol.ok(
+                **await self.cancel(protocol.job_name(request)))
         elif op == "jobs":
-            writer.write(protocol.encode(protocol.ok(
-                jobs=[self.queue.status(self.queue.jobs[name])
-                      for name in sorted(self.queue.jobs)])))
+            reply = protocol.ok(jobs=self.jobs())
         elif op == "join":
             await self._handle_join(request, writer, conn)
         elif op == "lease":
@@ -558,14 +605,16 @@ class ExplorationService:
         elif op == "engine-heartbeat":
             engine = self._connection_engine(request, conn)
             engine.touch()
-            writer.write(protocol.encode(protocol.ok(
-                engine=engine.id, queued=len(engine.lane),
-                in_flight=len(engine.inflight))))
+            reply = protocol.ok(engine=engine.id,
+                                queued=len(engine.lane),
+                                in_flight=len(engine.inflight))
         elif op == "shutdown":
             writer.write(protocol.encode(protocol.ok(stopping=True)))
             await writer.drain()
             self._stopping.set()
             return
+        if reply is not None:
+            writer.write(protocol.encode(reply))
         await writer.drain()
 
     # ------------------------------------------------------------------
@@ -695,14 +744,8 @@ class ExplorationService:
                 while len(job.order) <= sent and not job.finished:
                     await job.condition.wait()
                 batch = list(job.order[sent:])
-            for index in batch:
-                result = job.results.get(index)
-                if result is None:
-                    line = protocol.ok(index=index, cancelled=True)
-                else:
-                    line = protocol.ok(
-                        index=index, result=point_result_to_dict(result))
-                writer.write(protocol.encode(line))
+            for entry in self.result_entries(job, batch):
+                writer.write(protocol.encode(protocol.ok(**entry)))
             sent += len(batch)
             await writer.drain()
             if job.finished and sent >= len(job.order):

@@ -246,7 +246,7 @@ class TestSharedHelper:
         assert issubclass(ServiceClient, RetryingClientMixin)
         assert issubclass(HttpServiceClient, RetryingClientMixin)
         for name in ("_backoff_wait", "_submit_with_retries",
-                     "_init_retry"):
+                     "_init_retry", "_decode_entry", "collect"):
             # Neither transport may shadow the shared helper with a
             # private copy — the fix must live in exactly one place.
             assert name not in vars(ServiceClient)

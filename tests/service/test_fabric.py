@@ -69,10 +69,26 @@ def wait_for_engines(client, count, kind=None, timeout=10.0):
     raise AssertionError("engines never joined")
 
 
+def wait_for_engine_death(harness, engine_id, within):
+    """Poll ping until the roster shows ``engine_id`` dead; returns the
+    monotonic time it was seen dead, failing after ``within`` s."""
+    client = harness.client()
+    deadline = time.monotonic() + within
+    while time.monotonic() < deadline:
+        roster = {engine["engine"]: engine
+                  for engine in client.ping()["engines"]}
+        if roster[engine_id]["alive"] is False:
+            return time.monotonic()
+        time.sleep(0.02)
+    raise AssertionError("engine %r still alive after %.1f s"
+                         % (engine_id, within))
+
+
 class RawWorker:
     """A hand-driven protocol conversation for fault injection."""
 
     def __init__(self, harness, label, slots=2):
+        self.harness = harness
         self.sock = socket.create_connection(
             ("127.0.0.1", harness.port), timeout=30)
         self.stream = self.sock.makefile("rwb")
@@ -95,8 +111,20 @@ class RawWorker:
                              "max": max_units, "wait": wait})
 
     def vanish(self):
-        """Die without a word — the mid-lease crash."""
+        """Die without a word — the mid-lease crash.
+
+        The stream holds its own reference to the socket's fd, so both
+        must close for the coordinator to read EOF.  A joined engine
+        must then be failed by that disconnect path, well inside the
+        heartbeat reaper's ``engine_timeout``.
+        """
+        self.stream.close()
         self.sock.close()
+        engine = getattr(self, "engine", None)
+        if engine is not None:
+            wait_for_engine_death(
+                self.harness, engine,
+                within=self.harness.service.engine_timeout / 10.0)
 
 
 class TestRemoteParity:
@@ -214,6 +242,35 @@ class TestFaultInjection:
         assert roster["survivor"]["done"] == len(FABRIC_GRID)
         harness.stop()
         survivor.join()
+
+    def test_silent_worker_is_reaped_after_engine_timeout(
+            self, make_harness):
+        # The other way an engine dies: its link stays open but it
+        # goes quiet (a hung process, a partitioned host).  No EOF
+        # ever arrives, so only the heartbeat reaper can fail it, and
+        # only after ``engine_timeout`` of silence.  steal_delay=0
+        # lets the silent worker's first lease take a unit wherever
+        # the points were placed.
+        harness = make_harness(local_engines=1, steal_delay=0.0,
+                               engine_timeout=0.5)
+        client = harness.client()
+        silent = RawWorker(harness, "silent", slots=2)
+        job = client.submit(FABRIC_GRID)
+        last_word = time.monotonic()
+        leased = silent.lease(max_units=2, wait=10.0)["points"]
+        assert leased  # really held mid-lease
+        # The link is still open, so no EOF path could have fired.
+        reaped_at = wait_for_engine_death(harness, "silent", within=10.0)
+        assert reaped_at - last_word >= 0.5
+        # Its leases re-queued onto the local engine.
+        results = client.collect(job)
+        assert_matches_serial(results, FABRIC_GRID)
+        roster = {engine["engine"]: engine
+                  for engine in client.ping()["engines"]}
+        assert roster["silent"]["in_flight"] == 0
+        assert roster["silent"]["done"] == 0
+        assert roster["local-1"]["done"] == len(FABRIC_GRID)
+        silent.vanish()
 
     def test_delta_frame_drop_recovers(self, make_harness):
         # The wire eating a delta frame and the connection dying are
