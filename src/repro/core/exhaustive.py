@@ -13,20 +13,21 @@ exhausted; :func:`exhaustive_best_allocation` therefore accepts a
 such spaces.  With ``workers`` > 1 the candidate stream fans out over
 worker processes in contiguous chunks; each worker scans its chunk
 exactly the way the serial loop would, and the parent reduces the
-chunk winners with the same deterministic :func:`_better` tournament —
-so the parallel result is bit-identical to the serial one.
+chunk winners with the same deterministic objective tournament (by
+default :class:`~repro.core.objective.SpeedupObjective`'s) — so the
+parallel result is bit-identical to the serial one.
 
 ``search="pruned"`` walks the same space as a mixed-radix prefix tree
 instead of a flat product stream: each partial allocation carries an
 admissible area lower bound and speed-up upper bound (see
 :mod:`repro.core.bounds`), so subtrees provably unable to beat the
 incumbent are skipped wholesale, and the surviving leaves are
-evaluated through the neighbour-aware
-:class:`~repro.partition.evaluate.EvaluationScan` delta path.  The
-winner is bit-identical to the brute scan's — pruning only ever
-discards candidates the `_better` tournament would have discarded —
-while the number of candidate evaluations can drop by orders of
-magnitude on spaces with a dominant incumbent.
+evaluated through :func:`~repro.partition.evaluate.evaluate_allocation`
+like every other candidate.  The winner is bit-identical to the brute
+scan's — pruning only ever discards candidates the objective's
+tournament would have discarded — while the number of candidate
+evaluations can drop by orders of magnitude on spaces with a dominant
+incumbent.
 """
 
 import itertools
@@ -40,7 +41,7 @@ from repro.core.objective import as_objective
 from repro.core.restrictions import asap_restrictions
 from repro.core.rmap import RMap
 from repro.errors import AllocationError, ReproError
-from repro.partition.evaluate import EvaluationScan, evaluate_allocation
+from repro.partition.evaluate import evaluate_allocation
 
 #: Valid ``search=`` modes of :func:`exhaustive_best_allocation`.
 SEARCH_MODES = ("brute", "pruned")
@@ -250,25 +251,19 @@ class ExhaustiveResult:
 
 def _scan_candidates(candidates, bsbs, architecture, area_quanta,
                      keep_history, session, unit_areas, check_area,
-                     objective):
+                     objective, remember):
     """The inner evaluation loop, shared by the serial path and every
     parallel worker so both scan a candidate stream identically.
 
-    Candidates are ranked by ``objective`` (the default objective's
-    tournament is bit-identical to the historical :func:`_better`);
-    a Pareto-style objective additionally accumulates its dominance
-    front over every evaluated candidate.  Returns (best allocation,
-    best evaluation, evaluations, skipped_infeasible, history, front).
+    Candidates are ranked by ``objective`` (the default
+    :class:`~repro.core.objective.SpeedupObjective` tournament: higher
+    speed-up wins, ties go to the smaller data-path); a Pareto-style
+    objective additionally accumulates its dominance front over every
+    evaluated candidate.  ``remember`` is passed to every
+    :func:`evaluate_allocation` call.  Returns (best allocation, best
+    evaluation, evaluations, skipped_infeasible, history, front).
     """
     library = architecture.library
-    # remember="partitions": each candidate is visited exactly once, so
-    # storing one whole evaluation per candidate would grow the session
-    # cache linearly for ~zero in-process hits; schedules, cost arrays
-    # and sequence tables still collapse across candidates.  PACE DP
-    # results *are* remembered when a persistent store backs the
-    # session — a warm restart replays them from disk — and dropped
-    # otherwise.
-    remember = "partitions" if (session.store is not None) else False
     front = objective.new_front() if hasattr(objective, "new_front") \
         else None
     best_eval = None
@@ -341,7 +336,7 @@ def _warm_threshold(bsbs, architecture, restrictions, area_quanta,
 
 def _scan_pruned(bsbs, architecture, restrictions, area_quanta,
                  keep_history, session, names, ranges, unit_areas,
-                 total, workers, objective):
+                 total, workers, objective, remember):
     """Drive the branch-and-bound search: prime, then split or recurse.
 
     Candidate 0 — the empty allocation, always area-feasible, hence a
@@ -359,7 +354,6 @@ def _scan_pruned(bsbs, architecture, restrictions, area_quanta,
     allocation, best evaluation, evaluations, skipped_infeasible,
     history, front, prune stats).
     """
-    remember = "partitions" if (session.store is not None) else False
     library = architecture.library
     alloc0 = RMap()
     eval0 = evaluate_allocation(bsbs, alloc0, architecture,
@@ -397,7 +391,8 @@ def _scan_pruned(bsbs, architecture, restrictions, area_quanta,
         else:
             outcome = _scan_pruned_range(
                 bsbs, architecture, area_quanta, keep_history, session,
-                names, ranges, unit_areas, 1, total, primed, objective)
+                names, ranges, unit_areas, 1, total, primed, objective,
+                remember)
         (range_allocation, range_eval, range_evaluations, range_skipped,
          range_history, _, range_prune) = outcome
         evaluations += range_evaluations
@@ -413,7 +408,7 @@ def _scan_pruned(bsbs, architecture, restrictions, area_quanta,
 
 def _scan_pruned_range(bsbs, architecture, area_quanta, keep_history,
                        session, names, ranges, unit_areas, start, stop,
-                       incumbent, objective, shared=None):
+                       incumbent, objective, remember, shared=None):
     """Branch-and-bound over lexicographic indices ``[start, stop)``.
 
     The index range is walked as a mixed-radix prefix tree (first
@@ -427,9 +422,8 @@ def _scan_pruned_range(bsbs, architecture, area_quanta, keep_history,
     speed-up bound with its exact-tie area rule, area prunes on the
     negated prefix area (a digit only adds area), and energy prunes on
     the negated :meth:`~repro.core.bounds.BoundEngine.energy_floor`.
-    Surviving leaves are evaluated in scan order through the
-    :class:`EvaluationScan` delta path, so evaluated neighbours reuse
-    each other's unchanged cost groups.
+    Surviving leaves are evaluated in scan order through
+    :func:`evaluate_allocation` with ``remember``.
 
     ``incumbent`` is the primed (allocation, evaluation, warm
     threshold) triple; the returned winner is ``(None, None, ...)``
@@ -444,9 +438,6 @@ def _scan_pruned_range(bsbs, architecture, area_quanta, keep_history,
     sibling chunks prune harder.
     """
     library = architecture.library
-    remember = "partitions" if (session.store is not None) else False
-    scan = EvaluationScan(bsbs, architecture, area_quanta=area_quanta,
-                          cache=session.cache, remember=remember)
     caps = [len(counts) - 1 for counts in ranges]
     engine = BoundEngine(bsbs, architecture, names, caps, session.cache)
     axes = len(caps)
@@ -476,7 +467,10 @@ def _scan_pruned_range(bsbs, architecture, area_quanta, keep_history,
             allocation = RMap._unchecked(
                 {name: digit for name, digit in zip(names, digits)
                  if digit})
-            evaluation = scan.evaluate(allocation)
+            evaluation = evaluate_allocation(bsbs, allocation, architecture,
+                                             area_quanta=area_quanta,
+                                             cache=session.cache,
+                                             remember=remember)
             state["evaluations"] += 1
             if keep_history:
                 history.append((allocation, evaluation.speedup))
@@ -516,7 +510,7 @@ def _scan_pruned_range(bsbs, architecture, area_quanta, keep_history,
                     or bound < inc_su \
                     or (bound == inc_su and area >= inc_area) \
                     or (shared is not None and bound < shared.value)
-                # No completion can win the `_better` tournament: the
+                # No completion can win the speed-up tournament: the
                 # speed-up bound is admissible, the warm threshold (and
                 # the shared best-known value) is achieved inside the
                 # space and only prunes *strictly* worse subtrees, and
@@ -581,10 +575,10 @@ def exhaustive_best_allocation(bsbs, architecture, restrictions=None,
 
     ``search`` selects how an *enumerated* space is walked.  ``"brute"``
     scans every candidate; ``"pruned"`` runs the branch-and-bound walk
-    (admissible bounds over the allocation prefix tree plus delta
-    evaluation of neighbouring survivors) whose winner — speed-up,
-    allocation and tie-breaks included — is bit-identical to the brute
-    scan's, typically after far fewer candidate evaluations.  The mode
+    (admissible bounds over the allocation prefix tree, evaluating only
+    the surviving leaves) whose winner — speed-up, allocation and
+    tie-breaks included — is bit-identical to the brute scan's,
+    typically after far fewer candidate evaluations.  The mode
     is ignored when the budget forces sampling; the result's ``search``
     field records what actually ran.
 
@@ -600,7 +594,7 @@ def exhaustive_best_allocation(bsbs, architecture, restrictions=None,
     ``workers`` > 1 splits the candidate stream into contiguous chunks
     scanned by worker processes (each holding a session of its own,
     sharing the parent's persistent store when there is one).  The
-    chunk winners are reduced with the deterministic :func:`_better`
+    chunk winners are reduced with the deterministic objective
     tournament in chunk order and the per-worker cache accounting is
     merged into the parent session's stats, so the parallel search is
     bit-identical to — just faster than — the serial one.
@@ -632,6 +626,14 @@ def exhaustive_best_allocation(bsbs, architecture, restrictions=None,
         total *= len(counts)
     unit_areas = {name: library.area_of(name) for name in names}
     sampled = (max_evaluations is not None and total > max_evaluations)
+    # remember="partitions": each candidate is visited exactly once, so
+    # storing one whole evaluation per candidate would grow the session
+    # cache linearly for ~zero in-process hits; schedules, cost arrays
+    # and sequence tables still collapse across candidates.  PACE DP
+    # results *are* remembered when a persistent store backs the
+    # session — a warm restart replays them from disk — and dropped
+    # otherwise.
+    remember = "partitions" if session.store is not None else False
 
     skipped_infeasible = 0
     if sampled:
@@ -651,7 +653,7 @@ def exhaustive_best_allocation(bsbs, architecture, restrictions=None,
         outcome = _scan_pruned(bsbs, architecture, restrictions,
                                area_quanta, keep_history, session,
                                names, ranges, unit_areas, total, workers,
-                               objective)
+                               objective, remember)
     elif workers > 1 and workload > 1:
         outcome = _parallel_scan(
             bsbs, architecture, restrictions, area_quanta, keep_history,
@@ -662,7 +664,8 @@ def exhaustive_best_allocation(bsbs, architecture, restrictions=None,
                                    area_quanta, keep_history, session,
                                    unit_areas,
                                    check_area=not sampled,
-                                   objective=objective) \
+                                   objective=objective,
+                                   remember=remember) \
             + (_empty_prune_stats(),)
     (best_allocation, best_eval, evaluations, skipped_scanning,
      history, front, prune) = outcome
@@ -692,14 +695,6 @@ def exhaustive_best_allocation(bsbs, architecture, restrictions=None,
         objective=objective.name,
         front=front,
     )
-
-
-def _better(candidate, incumbent, library):
-    """Higher speed-up wins; ties go to the smaller data-path."""
-    if candidate.speedup != incumbent.speedup:
-        return candidate.speedup > incumbent.speedup
-    return (candidate.allocation.area(library)
-            < incumbent.allocation.area(library))
 
 
 # ----------------------------------------------------------------------
@@ -809,15 +804,20 @@ def _scan_worker_init(bsbs, architecture, restrictions, area_quanta,
     # Objectives are stateless singletons: the *name* crosses the
     # process boundary and resolves to this process's instance.
     objective = as_objective(objective_name)
+    # Same rule as exhaustive_best_allocation: this session has a store
+    # exactly when the parent's has.
+    remember = "partitions" if session.store is not None else False
     _WORKER_SCAN_CONTEXT = (bsbs, architecture, area_quanta,
                             keep_history, session, unit_areas,
-                            names, ranges, primed, objective, shared)
+                            names, ranges, primed, objective, remember,
+                            shared)
 
 
 def _scan_worker_chunk(spec):
     """Scan one contiguous chunk; ship the winner and accounting back."""
     (bsbs, architecture, area_quanta, keep_history, session, unit_areas,
-     names, ranges, primed, objective, shared) = _WORKER_SCAN_CONTEXT
+     names, ranges, primed, objective, remember,
+     shared) = _WORKER_SCAN_CONTEXT
     kind, payload = spec
     before = session.stats.snapshot()
     if kind == "prange":
@@ -825,7 +825,8 @@ def _scan_worker_chunk(spec):
         outcome = _scan_pruned_range(bsbs, architecture, area_quanta,
                                      keep_history, session, names,
                                      ranges, unit_areas, start, stop,
-                                     primed, objective, shared=shared)
+                                     primed, objective, remember,
+                                     shared=shared)
     else:
         if kind == "range":
             start, stop = payload
@@ -837,7 +838,8 @@ def _scan_worker_chunk(spec):
         outcome = _scan_candidates(candidates, bsbs, architecture,
                                    area_quanta, keep_history, session,
                                    unit_areas, check_area=check_area,
-                                   objective=objective) \
+                                   objective=objective,
+                                   remember=remember) \
             + (None,)
     # New cache entries ship back stable-encoded; the parent session —
     # the store's one writer — spills them in its final flush.

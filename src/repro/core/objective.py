@@ -2,9 +2,9 @@
 
 The paper optimises one scalar — PACE speed-up under the ASIC area cap
 — and until this module that contract was welded into every consumer:
-the ``_better`` tournament of :mod:`repro.core.exhaustive`, the design
--iteration loop's ``evaluation.speedup`` comparisons, the service wire
-format and the CLI tables.  An :class:`Objective` lifts the contract
+the exhaustive search's hardwired speed-up-then-area tournament, the
+design-iteration loop's ``evaluation.speedup`` comparisons, the service
+wire format and the CLI tables.  An :class:`Objective` lifts the contract
 into one seam:
 
 * :meth:`Objective.key` maps an evaluation to a *maximise-oriented*

@@ -116,9 +116,9 @@ class EvalCache:
     """Shared memo dicts for every stage of the exploration pipeline.
 
     Attributes (all plain dicts, keyed as noted):
-        sched: (bsb uid, relevant counts) -> list-schedule length.  The
-            same mapping the old ad-hoc ``cache=`` dicts held, so legacy
-            callers passing a bare dict keep working.
+        sched: (bsb uid, relevant counts, library id) -> list-schedule
+            length; module-selection mixes key on (bsb uid, "hetero",
+            relevant units, library id).
         ops: (bsb uid, library id) -> sorted (resource name, op count)
             tuple of the BSB's designated-resource demand.
         capable: (bsb uid, library id) -> (capable names, per-type names)

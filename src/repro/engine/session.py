@@ -296,22 +296,6 @@ class Session:
             keep_history=keep_history, session=self, workers=workers,
             search=search, objective=objective)
 
-    def evaluation_scan(self, bsbs, architecture, area_quanta=400,
-                        remember=False):
-        """A neighbour-aware :class:`EvaluationScan` on this cache.
-
-        The scan's delta path makes sequences of similar allocations
-        (searches, sweeps) cheap: cost groups whose relevant counts did
-        not change between consecutive allocations are carried over
-        without a signature recomputation.
-        """
-        from repro.partition.evaluate import EvaluationScan
-
-        self._adopt(bsbs, library=architecture.library)
-        return EvaluationScan(bsbs, architecture,
-                              area_quanta=area_quanta,
-                              cache=self.cache, remember=remember)
-
     # ------------------------------------------------------------------
     # The batch API
     # ------------------------------------------------------------------

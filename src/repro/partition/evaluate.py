@@ -18,16 +18,9 @@ With an :class:`~repro.engine.cache.EvalCache` (what the engine's
 from dataclasses import dataclass
 
 from repro.core.rmap import RMap
-from repro.engine.cache import EvalCache
 from repro.errors import PartitionError
-from repro.partition.model import (
-    _arch_cost_key,
-    _compute_bsb_cost,
-    _cost_plan,
-    bsb_costs,
-    bsb_energy_pairs,
-    partition_energy,
-)
+from repro.partition.model import bsb_costs, bsb_energy_pairs, \
+    partition_energy
 from repro.partition.pace import SequenceTable, pace_partition, \
     PartitionResult
 
@@ -93,11 +86,10 @@ def evaluate_allocation(bsbs, allocation, architecture, area_quanta=400,
         allocation: Data-path allocation (RMap or dict).
         architecture: The target architecture (defines the total area).
         area_quanta: Resolution of PACE's area axis.
-        cache: Optional memo store shared across evaluations: either a
-            plain dict of hardware schedule lengths (the legacy
-            contract) or an :class:`~repro.engine.cache.EvalCache`,
-            which additionally memoises cost arrays, PACE sequence
-            tables and whole evaluations.
+        cache: Optional :class:`~repro.engine.cache.EvalCache` shared
+            across evaluations: memoises schedule lengths, cost arrays,
+            PACE sequence tables and whole evaluations.  ``None``
+            computes everything afresh — the uncached reference.
         overhead_model: Optional
             :class:`~repro.hwlib.overheads.OverheadModel`: charges the
             interconnect/storage estimate of the future-work extension
@@ -122,15 +114,14 @@ def evaluate_allocation(bsbs, allocation, architecture, area_quanta=400,
     comparable across calls made at one resolution.
     """
     allocation = RMap._coerce(allocation)
-    engine_cache = cache if isinstance(cache, EvalCache) else None
-    if engine_cache is not None:
+    if cache is not None:
         key = _evaluation_key(bsbs, allocation, architecture, area_quanta,
-                              overhead_model, engine_cache)
-        evaluation = engine_cache.evals.get(key)
+                              overhead_model, cache)
+        evaluation = cache.evals.get(key)
         if evaluation is not None:
-            engine_cache.stats.hit("eval")
+            cache.stats.hit("eval")
             return evaluation
-        engine_cache.stats.miss("eval")
+        cache.stats.miss("eval")
 
     datapath_area = allocation.area(architecture.library)
     if datapath_area > architecture.total_area:
@@ -149,149 +140,9 @@ def evaluate_allocation(bsbs, allocation, architecture, area_quanta=400,
     costs = bsb_costs(bsbs, allocation, architecture, cache=cache)
 
     sequence_table = None
-    if engine_cache is not None:
+    if cache is not None:
         # Cost objects are memoised (hence pinned) by bsb_costs, so
         # their ids are a stable, cheap identity for the whole array.
-        table_key = (tuple(map(id, costs)),
-                     architecture.comm_cycles_per_word)
-        sequence_table = engine_cache.tables.get(table_key)
-        if sequence_table is None:
-            engine_cache.stats.miss("table")
-            sequence_table = SequenceTable(costs, architecture)
-            engine_cache.tables[table_key] = sequence_table
-        else:
-            engine_cache.stats.hit("table")
-
-    partition = None
-    partition_key = None
-    if engine_cache is not None:
-        # A PartitionResult depends only on (costs, communication model,
-        # available area, quanta) — the table key already encodes the
-        # first two, so allocations that differ only in resources no BSB
-        # uses while their data-path areas coincide share one DP run.
-        # Keyed by the cost-id tuple rather than the table's own id so a
-        # persistent store can re-key the entry by cost content hashes.
-        partition_key = (table_key, available, area_quanta)
-        partition = engine_cache.partitions.get(partition_key)
-        if partition is None:
-            engine_cache.stats.miss("partition")
-        else:
-            engine_cache.stats.hit("partition")
-    if partition is None:
-        partition = pace_partition(costs, architecture, available,
-                                   area_quanta=area_quanta,
-                                   sequence_table=sequence_table)
-        if engine_cache is not None and remember:
-            engine_cache.partitions[partition_key] = partition
-    evaluation = AllocationEvaluation(
-        allocation=allocation,
-        datapath_area=datapath_area,
-        available_controller_area=available,
-        partition=partition,
-        overhead_area=overhead_area,
-        energy=partition_energy(
-            bsb_energy_pairs(bsbs, architecture, cache=cache),
-            partition.hw_sequences),
-    )
-    if engine_cache is not None and remember is True:
-        engine_cache.evals[key] = evaluation
-    return evaluation
-
-
-class EvaluationScan:
-    """Neighbour-aware evaluator for enumeration-order candidate scans.
-
-    :func:`evaluate_allocation` rebuilds every stage key and probes
-    every memo from scratch per candidate; on a warm scan that
-    key-building dominates the wall clock.  Consecutive candidates of a
-    lexicographic (or branch-and-bound) scan differ in a handful of
-    resource counts, so a scan-scoped evaluator can *diff* the
-    allocation against the previous candidate and carry the unchanged
-    cost groups — signatures, cost objects and thereby the sequence
-    table identity — forward without touching their memos.
-
-    The results are bit-identical to :func:`evaluate_allocation` with
-    the same cache: a cost group whose relevant counts did not change
-    has, by construction, the same signature, hence the same memo key,
-    hence the same (memoised, hence identical) cost object a fresh
-    probe would return.  The hit/miss accounting matches too — the cost
-    memo stores unconditionally, so a carried group's probe would have
-    been a hit.
-
-    One scan instance serves one (BSB array, architecture, quanta)
-    triple; ``overhead_model`` evaluations are out of scope (the
-    searches this serves never charge overheads).
-    """
-
-    __slots__ = ("_bsbs", "_architecture", "_area_quanta", "_cache",
-                 "_remember", "_library", "_members", "_groups",
-                 "_deps", "_arch_key", "_key_prefix", "_prev",
-                 "_signatures", "_costs")
-
-    def __init__(self, bsbs, architecture, area_quanta=400, cache=None,
-                 remember=False):
-        if not isinstance(cache, EvalCache):
-            raise PartitionError(
-                "EvaluationScan requires an EvalCache (the diffed scan "
-                "state is only sound against one shared memo store)")
-        self._bsbs = bsbs
-        self._architecture = architecture
-        self._area_quanta = area_quanta
-        self._cache = cache
-        self._remember = remember
-        library = architecture.library
-        self._library = library
-        members, group_list = _cost_plan(bsbs, library, cache)
-        self._members = members
-        self._groups = group_list
-        # Per group, the resource names its signature can depend on:
-        # designated demand plus every module-selection-capable unit.
-        # A candidate step that changes none of these counts provably
-        # leaves the group's signature (and cost objects) unchanged.
-        deps = []
-        for identity in group_list:
-            if identity is None:
-                deps.append(())
-            else:
-                ops, capable, _ = identity
-                deps.append(tuple(sorted(
-                    {name for name, _ in ops} | set(capable))))
-        self._deps = deps
-        self._arch_key = _arch_cost_key(architecture, cache)
-        self._key_prefix = (cache.uid_key(bsbs), cache.pin(library),
-                            cache.processor_token(architecture.processor),
-                            architecture.total_area,
-                            architecture.comm_cycles_per_word,
-                            architecture.hw_cycle_ratio)
-        self._prev = None
-        self._signatures = [None] * len(group_list)
-        self._costs = [None] * len(bsbs)
-
-    def evaluate(self, allocation):
-        """Evaluate one candidate; same contract as
-        :func:`evaluate_allocation` (including the
-        :class:`PartitionError` on an allocation over the ASIC area and
-        the per-stage hit/miss accounting)."""
-        allocation = RMap._coerce(allocation)
-        cache = self._cache
-        architecture = self._architecture
-        key = self._key_prefix + (allocation, self._area_quanta, None)
-        evaluation = cache.evals.get(key)
-        if evaluation is not None:
-            # Early return leaves the carried state pointing at the
-            # last *computed* candidate, which is exactly what the next
-            # diff must compare against.
-            cache.stats.hit("eval")
-            return evaluation
-        cache.stats.miss("eval")
-        datapath_area = allocation.area(architecture.library)
-        if datapath_area > architecture.total_area:
-            raise PartitionError(
-                "allocation area %.1f exceeds total ASIC area %.1f"
-                % (datapath_area, architecture.total_area))
-        available = architecture.total_area - datapath_area
-        costs = self._costs_for(allocation)
-
         table_key = (tuple(map(id, costs)),
                      architecture.comm_cycles_per_word)
         sequence_table = cache.tables.get(table_key)
@@ -302,91 +153,38 @@ class EvaluationScan:
         else:
             cache.stats.hit("table")
 
-        partition_key = (table_key, available, self._area_quanta)
+    partition = None
+    partition_key = None
+    if cache is not None:
+        # A PartitionResult depends only on (costs, communication model,
+        # available area, quanta) — the table key already encodes the
+        # first two, so allocations that differ only in resources no BSB
+        # uses while their data-path areas coincide share one DP run.
+        # Keyed by the cost-id tuple rather than the table's own id so a
+        # persistent store can re-key the entry by cost content hashes.
+        partition_key = (table_key, available, area_quanta)
         partition = cache.partitions.get(partition_key)
         if partition is None:
             cache.stats.miss("partition")
         else:
             cache.stats.hit("partition")
-        if partition is None:
-            partition = pace_partition(costs, architecture, available,
-                                       area_quanta=self._area_quanta,
-                                       sequence_table=sequence_table)
-            if self._remember:
-                cache.partitions[partition_key] = partition
-        evaluation = AllocationEvaluation(
-            allocation=allocation,
-            datapath_area=datapath_area,
-            available_controller_area=available,
-            partition=partition,
-            energy=partition_energy(
-                bsb_energy_pairs(self._bsbs, architecture, cache=cache),
-                partition.hw_sequences),
-        )
-        if self._remember is True:
-            cache.evals[key] = evaluation
-        return evaluation
+    if partition is None:
+        partition = pace_partition(costs, architecture, available,
+                                   area_quanta=area_quanta,
+                                   sequence_table=sequence_table)
+        if cache is not None and remember:
+            cache.partitions[partition_key] = partition
+    evaluation = AllocationEvaluation(
+        allocation=allocation,
+        datapath_area=datapath_area,
+        available_controller_area=available,
+        partition=partition,
+        overhead_area=overhead_area,
+        energy=partition_energy(
+            bsb_energy_pairs(bsbs, architecture, cache=cache),
+            partition.hw_sequences),
+    )
+    if cache is not None and remember is True:
+        cache.evals[key] = evaluation
+    return evaluation
 
-    def _costs_for(self, allocation):
-        """The candidate's cost array, diffed against the previous one.
-
-        Mirrors ``partition.model._cached_bsb_costs`` — the inline
-        signature forms must stay in sync with `_allocation_signature`
-        — but only re-keys the groups whose dependency counts changed.
-        """
-        cache = self._cache
-        prev = self._prev
-        get = allocation.get
-        signatures = self._signatures
-        if prev is None:
-            changed = range(len(self._groups))
-        else:
-            prev_get = prev.get
-            changed = [index for index, deps in enumerate(self._deps)
-                       if any(get(name, 0) != prev_get(name, 0)
-                              for name in deps)]
-        for index in changed:
-            identity = self._groups[index]
-            if identity is None:
-                signatures[index] = ("empty",)
-                continue
-            ops, capable, type_sets = identity
-            counts = tuple((name, min(get(name, 0), need))
-                           for name, need in ops)
-            if all(count >= 1 for _, count in counts):
-                signatures[index] = ("homo", counts)
-            elif all(any(get(name, 0) for name in names)
-                     for names in type_sets):
-                signatures[index] = ("hetero", tuple(sorted(
-                    (name, count) for name, count in allocation.items()
-                    if count and name in capable)))
-            else:
-                signatures[index] = ("hetero", None)
-        stale = frozenset(changed)
-        costs_memo = cache.costs
-        arch_key = self._arch_key
-        result = self._costs
-        hits = 0
-        misses = 0
-        for position, (bsb, index) in enumerate(zip(self._bsbs,
-                                                    self._members)):
-            if prev is not None and index not in stale:
-                hits += 1  # carried: a fresh probe would have hit
-                continue
-            cost_key = (bsb.uid, signatures[index], arch_key)
-            cost = costs_memo.get(cost_key)
-            if cost is None:
-                misses += 1
-                cost = _compute_bsb_cost(bsb, allocation,
-                                         self._architecture, cache)
-                costs_memo[cost_key] = cost
-            else:
-                hits += 1
-            result[position] = cost
-        stats = cache.stats
-        if hits:
-            stats.hits["cost"] = stats.hits.get("cost", 0) + hits
-        if misses:
-            stats.misses["cost"] = stats.misses.get("cost", 0) + misses
-        self._prev = allocation
-        return result

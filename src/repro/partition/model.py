@@ -140,10 +140,10 @@ def hardware_steps(bsb, allocation, architecture, cache=None):
     """List-schedule length of a BSB under ``allocation``, or ``None``.
 
     ``None`` means the allocation lacks a required unit and the BSB
-    cannot execute in hardware.  ``cache`` — a plain dict of schedule
-    lengths or an :class:`~repro.engine.cache.EvalCache` — memoises
-    schedule lengths across the many allocations an exhaustive search
-    evaluates.
+    cannot execute in hardware.  An
+    :class:`~repro.engine.cache.EvalCache` memoises schedule lengths
+    across the many allocations an exhaustive search evaluates; without
+    one every call schedules afresh.
 
     Allocations where some type is covered only by a non-designated
     unit (module-selection mixes) are scheduled with the heterogeneous
@@ -152,29 +152,20 @@ def hardware_steps(bsb, allocation, architecture, cache=None):
     library = architecture.library
     if not len(bsb.dfg):
         return 0
-    sched_cache = cache.sched if isinstance(cache, EvalCache) else cache
     counts = _relevant_counts(bsb, allocation, library, cache=cache)
     if all(count >= 1 for _, count in counts):
-        key = None
-        if sched_cache is not None:
-            # The legacy plain-dict cache is created fresh per
-            # single-library search, so its keys never needed the
-            # library; the long-lived EvalCache serves sessions that
-            # may evaluate under several libraries.
-            if isinstance(cache, EvalCache):
-                key = (bsb.uid, counts, cache.pin(library))
-            else:
-                key = (bsb.uid, counts)
-            if key in sched_cache:
-                return sched_cache[key]
-        priority = latencies = None
-        if isinstance(cache, EvalCache):
-            priority, latencies = _schedule_inputs(bsb, library, cache)
+        if cache is None:
+            return list_schedule(bsb.dfg, dict(counts), library).length
+        # The long-lived EvalCache serves sessions that may evaluate
+        # under several libraries, so its keys carry the library.
+        key = (bsb.uid, counts, cache.pin(library))
+        if key in cache.sched:
+            return cache.sched[key]
+        priority, latencies = _schedule_inputs(bsb, library, cache)
         steps = list_schedule(bsb.dfg, dict(counts), library,
                               priority=priority,
                               latencies=latencies).length
-        if sched_cache is not None:
-            sched_cache[key] = steps
+        cache.sched[key] = steps
         return steps
     return _hetero_hardware_steps(bsb, allocation, library, cache)
 
@@ -231,17 +222,13 @@ def _hetero_hardware_steps(bsb, allocation, library, cache):
     relevant = _hetero_relevant(bsb, allocation, library, cache=cache)
     if relevant is None:
         return None
-    sched_cache = cache.sched if isinstance(cache, EvalCache) else cache
-    if isinstance(cache, EvalCache):
-        key = (bsb.uid, "hetero", relevant, cache.pin(library))
-    else:
-        key = (bsb.uid, "hetero", relevant)
-    if sched_cache is not None and key in sched_cache:
-        return sched_cache[key]
-    steps = hetero_list_schedule(bsb.dfg, dict(relevant), library).length
-    if sched_cache is not None:
-        sched_cache[key] = steps
-    return steps
+    if cache is None:
+        return hetero_list_schedule(bsb.dfg, dict(relevant), library).length
+    key = (bsb.uid, "hetero", relevant, cache.pin(library))
+    if key not in cache.sched:
+        cache.sched[key] = hetero_list_schedule(bsb.dfg, dict(relevant),
+                                                library).length
+    return cache.sched[key]
 
 
 def _arch_cost_key(architecture, cache):
@@ -249,23 +236,6 @@ def _arch_cost_key(architecture, cache):
     return (cache.pin(architecture.library),
             cache.processor_token(architecture.processor),
             architecture.hw_cycle_ratio)
-
-
-def _allocation_signature(bsb, allocation, library, cache):
-    """The slice of ``allocation`` the BSB's cost actually depends on.
-
-    Two allocations with equal signatures yield bit-identical BSBCosts,
-    which is what makes the per-BSB cost memo below exact.
-    _cached_bsb_costs computes these same signatures inline over groups
-    of BSBs — keep the two in sync.
-    """
-    if not len(bsb.dfg):
-        return ("empty",)
-    counts = _relevant_counts(bsb, allocation, library, cache=cache)
-    if all(count >= 1 for _, count in counts):
-        return ("homo", counts)
-    return ("hetero", _hetero_relevant(bsb, allocation, library,
-                                       cache=cache))
 
 
 def _software_time(bsb, processor, cache=None):
@@ -342,7 +312,14 @@ def partition_energy(pairs, hw_sequences):
     return total
 
 
-def _compute_bsb_cost(bsb, allocation, architecture, cache):
+def bsb_cost(bsb, allocation, architecture, cache=None):
+    """Compute the :class:`BSBCost` of one BSB under ``allocation``.
+
+    Not memoised as a whole: ``cache`` (an
+    :class:`~repro.engine.cache.EvalCache` or ``None``) only serves the
+    schedule-length and software-time stages.  :func:`bsb_costs` is
+    what memoises cost objects by their allocation signature.
+    """
     sw_time = _software_time(bsb, architecture.processor, cache=cache)
     steps = hardware_steps(bsb, allocation, architecture, cache=cache)
     if steps is None:
@@ -361,34 +338,6 @@ def _compute_bsb_cost(bsb, allocation, architecture, cache):
         reads=frozenset(bsb.reads),
         writes=frozenset(bsb.writes),
     )
-
-
-def bsb_cost(bsb, allocation, architecture, cache=None):
-    """Compute the :class:`BSBCost` of one BSB under ``allocation``.
-
-    With an :class:`~repro.engine.cache.EvalCache` the whole cost object
-    is memoised by its true inputs — the BSB, the allocation counts the
-    BSB can use, and the architecture knobs entering the cost — so the
-    exhaustive search's thousands of allocations collapse onto a few
-    distinct cost signatures per BSB.
-    """
-    if not isinstance(cache, EvalCache):
-        return _compute_bsb_cost(bsb, allocation, architecture, cache)
-    # Same key shape as _cached_bsb_costs (and _allocation_signature
-    # computes the same signatures as its grouped inline form), so both
-    # entry points share one memo entry per logical cost.
-    key = (bsb.uid,
-           _allocation_signature(bsb, allocation, architecture.library,
-                                 cache),
-           _arch_cost_key(architecture, cache))
-    cost = cache.costs.get(key)
-    if cost is not None:
-        cache.stats.hit("cost")
-        return cost
-    cache.stats.miss("cost")
-    cost = _compute_bsb_cost(bsb, allocation, architecture, cache)
-    cache.costs[key] = cost
-    return cost
 
 
 def _cost_plan(bsbs, library, cache):
@@ -428,7 +377,13 @@ def _cost_plan(bsbs, library, cache):
 
 
 def _cached_bsb_costs(bsbs, allocation, architecture, cache):
-    """Memoised cost array: one signature per group, one get per BSB."""
+    """Memoised cost array: one signature per group, one get per BSB.
+
+    A signature is the slice of ``allocation`` a BSB's cost actually
+    depends on; two allocations with equal signatures yield
+    bit-identical BSBCosts, which is what makes the per-BSB cost memo
+    exact.
+    """
     library = architecture.library
     members, group_list = _cost_plan(bsbs, library, cache)
     arch_key = _arch_cost_key(architecture, cache)
@@ -462,7 +417,7 @@ def _cached_bsb_costs(bsbs, allocation, architecture, cache):
         cost = costs_memo.get(key)
         if cost is None:
             misses += 1
-            cost = _compute_bsb_cost(bsb, allocation, architecture, cache)
+            cost = bsb_cost(bsb, allocation, architecture, cache)
             costs_memo[key] = cost
         else:
             hits += 1
@@ -477,7 +432,6 @@ def _cached_bsb_costs(bsbs, allocation, architecture, cache):
 
 def bsb_costs(bsbs, allocation, architecture, cache=None):
     """Per-BSB costs for the whole application, in array order."""
-    if isinstance(cache, EvalCache):
-        return _cached_bsb_costs(bsbs, allocation, architecture, cache)
-    return [bsb_cost(bsb, allocation, architecture, cache=cache)
-            for bsb in bsbs]
+    if cache is None:
+        return [bsb_cost(bsb, allocation, architecture) for bsb in bsbs]
+    return _cached_bsb_costs(bsbs, allocation, architecture, cache)

@@ -66,21 +66,28 @@ class TestEvaluateParity:
             assert_same_evaluation(plain, cached)
             assert cached is rewarmed
 
-    def test_legacy_dict_cache_matches(self, library, small_app):
+    @pytest.mark.parametrize("remember", [False, "partitions", True])
+    def test_remember_modes_match_uncached(self, library, small_app,
+                                           remember):
+        # The searches evaluate every candidate with remember=False or
+        # "partitions"; each mode returns the uncached result and keeps
+        # only the memo entries it names.
+        from repro.engine import EvalCache
+
         architecture = TargetArchitecture(library=library,
                                           total_area=6000.0)
-        legacy = {}
-        session = Session(library=library)
-        for allocation in ({"multiplier": 1, "adder": 1},
-                           {"multiplier": 2, "adder": 2},
-                           {"multiplier": 3}):
-            allocation = RMap(allocation)
+        cache = EvalCache()
+        for allocation in enumerate_allocations(small_app, library):
+            if allocation.area(library) > architecture.total_area:
+                continue
             plain = evaluate_allocation(small_app, allocation,
-                                        architecture, area_quanta=100,
-                                        cache=legacy)
-            cached = session.evaluate(small_app, allocation, architecture,
-                                      area_quanta=100)
+                                        architecture, area_quanta=100)
+            cached = evaluate_allocation(small_app, allocation,
+                                         architecture, area_quanta=100,
+                                         cache=cache, remember=remember)
             assert_same_evaluation(plain, cached)
+        assert bool(cache.partitions) == bool(remember)
+        assert bool(cache.evals) == (remember is True)
 
     def test_session_matches_uncached_on_hal(self):
         session = Session()
@@ -98,11 +105,11 @@ class TestEvaluateParity:
 
 
 class TestCostSignatureParity:
-    """bsb_cost and _cached_bsb_costs must share one memo key space.
+    """The memoised cost array equals the uncached per-BSB costs.
 
-    Both write ``cache.costs`` under (uid, signature, arch key); this
-    pins their independently-implemented signature computations
-    together — if either drifts, the shared-entry assertions fail.
+    ``bsb_costs`` with an EvalCache collapses allocations onto cost
+    signatures; if a signature ever merged two allocations whose costs
+    differ, some BSB here would get another allocation's cost.
     """
 
     @pytest.mark.parametrize("allocation", [
@@ -111,8 +118,8 @@ class TestCostSignatureParity:
         {"adder": 1},                        # muls BSB unexecutable
         {},                                  # everything unexecutable
     ])
-    def test_both_paths_share_cache_entries(self, library, small_app,
-                                            allocation):
+    def test_cached_costs_equal_uncached(self, library, small_app,
+                                         allocation):
         from repro.engine import EvalCache
         from repro.partition.model import bsb_cost, bsb_costs
 
@@ -120,16 +127,17 @@ class TestCostSignatureParity:
         architecture = TargetArchitecture(library=library,
                                           total_area=6000.0)
         cache = EvalCache()
-        grouped = bsb_costs(small_app, allocation, architecture,
-                            cache=cache)
-        entries = len(cache.costs)
-        singles = [bsb_cost(bsb, allocation, architecture, cache=cache)
-                   for bsb in small_app]
-        # The single-BSB path must hit the grouped path's entries:
-        # same objects back, no new keys written.
-        assert len(cache.costs) == entries
-        for one, other in zip(grouped, singles):
-            assert one is other
+        # Warm the memo with other allocations first: a signature that
+        # collapsed too much would serve one of their cost objects.
+        for other in ({"multiplier": 2, "adder": 3},
+                      {"multiplier": 3, "adder": 4},
+                      {"multiplier": 2}, {"adder": 2}):
+            bsb_costs(small_app, RMap(other), architecture, cache=cache)
+        cached = bsb_costs(small_app, allocation, architecture,
+                           cache=cache)
+        uncached = [bsb_cost(bsb, allocation, architecture)
+                    for bsb in small_app]
+        assert cached == uncached
 
 
 class TestDriverParity:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.rmap import RMap
+from repro.engine.cache import EvalCache
 from repro.errors import PartitionError
 from repro.ir.ops import OpType
 from repro.partition.model import (
@@ -49,31 +50,31 @@ class TestHardwareSteps:
 
     def test_cache_hits_across_irrelevant_changes(self, architecture):
         bsb = make_leaf(make_parallel_dfg(OpType.ADD, 4))
-        cache = {}
+        cache = EvalCache()
         first = hardware_steps(bsb, RMap({"adder": 2, "divider": 1}),
                                architecture, cache=cache)
-        assert len(cache) == 1
+        assert len(cache.sched) == 1
         second = hardware_steps(bsb, RMap({"adder": 2, "divider": 9}),
                                 architecture, cache=cache)
         assert first == second
-        assert len(cache) == 1  # divider count is irrelevant to ADDs
+        assert len(cache.sched) == 1  # divider count is irrelevant to ADDs
 
     def test_cache_distinguishes_relevant_counts(self, architecture):
         bsb = make_leaf(make_parallel_dfg(OpType.ADD, 4))
-        cache = {}
+        cache = EvalCache()
         hardware_steps(bsb, RMap({"adder": 1}), architecture, cache=cache)
         hardware_steps(bsb, RMap({"adder": 2}), architecture, cache=cache)
-        assert len(cache) == 2
+        assert len(cache.sched) == 2
 
     def test_counts_capped_at_useful(self, architecture):
         bsb = make_leaf(make_parallel_dfg(OpType.ADD, 4))
-        cache = {}
+        cache = EvalCache()
         first = hardware_steps(bsb, RMap({"adder": 4}), architecture,
                                cache=cache)
         second = hardware_steps(bsb, RMap({"adder": 40}), architecture,
                                 cache=cache)
         assert first == second
-        assert len(cache) == 1
+        assert len(cache.sched) == 1
 
 
 class TestBsbCost:
