@@ -29,7 +29,7 @@ class DesignPoint:
         policy: Module-selection policy name (one of
             :data:`POLICY_NAMES`) or ``None`` for the designated-unit
             Algorithm 1 of the paper.
-        quanta: PACE area-axis resolution.
+        quanta: PACE area-axis resolution, an ``int`` >= 1.
         comm_cycles_per_word: HW/SW interface cost in CPU cycles.
     """
 
@@ -50,9 +50,10 @@ class DesignPoint:
             raise ReproError(
                 "DesignPoint.policy must be one of %s or None, got %r"
                 % (", ".join(POLICY_NAMES), self.policy))
-        if self.quanta < 1:
-            raise ReproError("DesignPoint.quanta must be >= 1, got %r"
-                             % (self.quanta,))
+        if (not isinstance(self.quanta, int)
+                or isinstance(self.quanta, bool) or self.quanta < 1):
+            raise ReproError("DesignPoint.quanta must be an int >= 1, "
+                             "got %r" % (self.quanta,))
         if self.comm_cycles_per_word < 0:
             raise ReproError("DesignPoint.comm_cycles_per_word must be "
                              ">= 0, got %r" % (self.comm_cycles_per_word,))

@@ -19,10 +19,7 @@ never violated).
 import math
 from dataclasses import dataclass, field
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the environment bakes numpy in
-    _np = None
+import numpy as np
 
 from repro.errors import PartitionError
 from repro.partition.speedup import speedup_percent
@@ -112,12 +109,13 @@ class SequenceTable:
         """dict (first, last) -> (gain, area) of sequences fitting the area.
 
         Growing queries extend the table in place; shrinking queries
-        prune the already-built entries without recomputation.
+        prune the already-built entries without recomputation.  The
+        returned dict is always a fresh copy the caller may mutate.
         """
         if available_area > self._horizon:
             self._extend(available_area)
         if available_area >= self._horizon:
-            return self._entries
+            return dict(self._entries)
         return {key: value for key, value in self._entries.items()
                 if value[1] <= available_area}
 
@@ -126,7 +124,9 @@ class SequenceTable:
 
         The flat-list form the DP consumes: only sequences that save
         cycles can ever be chosen, so the losers are filtered once at
-        build time instead of on every partition call.
+        build time instead of on every partition call.  When the area
+        covers the whole horizon this is the table's internal list, not
+        a copy: the DP only reads it, and callers must not mutate it.
         """
         if available_area > self._horizon:
             self._extend(available_area)
@@ -219,112 +219,48 @@ def _quantized_by_last(positive, quantum, count):
     return seq_by_last
 
 
-#: BSB-array size from which the vectorised DP beats the plain one (the
-#: per-vector numpy overhead loses on the paper's small benchmarks but
-#: wins ~15% on eigen-sized arrays; measured on the Table 1 suite).
-_NUMPY_DP_MIN_BSBS = 32
+def _dp(count, width, seq_by_last):
+    """The knapsack-with-sequences DP over dense numpy area rows.
 
-
-def _dp_python(count, width, seq_by_last):
-    """The knapsack-with-sequences DP, pure-Python reference path.
+    ``best[j, w]`` is the max saving considering BSBs[0..j-1] with ``w``
+    quanta.  The forward pass records no choices: the backtrack
+    re-derives each one from the table.  That is exact because every
+    candidate value is produced by the same float addition in both
+    passes and ``np.maximum`` returns one of its operands, so a state
+    that moved a sequence equals that sequence's candidate bit for bit.
+    Taking the *earliest* matching sequence reproduces the tie-break of
+    a sequential strict-``>`` relaxation in ascending-first order.
 
     Returns (total saving, chosen (first, last) pairs in array order).
     """
-    best = [[0.0] * width]
-    choice = [[None] * width]
+    best = np.zeros((count + 1, width))
+    # One view per row, sliced from a list: cheaper than 2-D indexing
+    # in the inner loop.
+    views = list(best)
+    maximum = np.maximum
     for j in range(1, count + 1):
-        row = best[j - 1][:]
-        choice_row = [None] * width
+        row = views[j]
+        row[:] = views[j - 1]
         for first, gain, needed in seq_by_last[j - 1]:
-            if needed >= width:
-                continue
-            base = best[first]
-            # Rows are nondecreasing in w (more area never hurts), so a
-            # sequence whose best candidate cannot beat the cheapest
-            # target state cannot improve anything.
-            if base[width - 1 - needed] + gain <= row[needed]:
-                continue
-            w = needed
-            for base_value in base[:width - needed]:
-                candidate = base_value + gain
-                if candidate > row[w]:
-                    row[w] = candidate
-                    choice_row[w] = (first, w - needed)
-                w += 1
-        best.append(row)
-        choice.append(choice_row)
+            if needed < width:
+                tail = row[needed:]
+                maximum(tail, views[first][:width - needed] + gain, out=tail)
 
+    rows = best.tolist()
     hw_sequences = []
     j, w = count, width - 1
-    total_saving = best[count][width - 1]
     while j > 0:
-        picked = choice[j][w]
-        if picked is None:
+        value = rows[j][w]
+        if value == rows[j - 1][w]:
             j -= 1
             continue
-        first, w_prev = picked
+        for first, gain, needed in seq_by_last[j - 1]:
+            if needed <= w and rows[first][w - needed] + gain == value:
+                break
         hw_sequences.append((first, j - 1))
-        j, w = first, w_prev
+        j, w = first, w - needed
     hw_sequences.reverse()
-    return total_saving, hw_sequences
-
-
-def _dp_numpy(count, width, seq_by_last):
-    """The same DP with whole area rows relaxed as numpy vectors.
-
-    Per-element float64 additions and strict comparisons match the
-    Python path operation for operation, so savings and choices are
-    bit-identical; only the loop over area quanta moves into C.
-    """
-    best = _np.zeros((count + 1, width))
-    choice_first = _np.full((count + 1, width), -1, dtype=_np.int32)
-    choice_wprev = _np.zeros((count + 1, width), dtype=_np.int32)
-    columns = _np.arange(width)
-    for j in range(1, count + 1):
-        row = best[j]
-        row[:] = best[j - 1]
-        # Rows are nondecreasing in w, so a sequence whose best
-        # candidate cannot beat the cheapest target state of the
-        # *pre-relaxation* row (which only grows) can never win.
-        live = [(first, gain, needed)
-                for first, gain, needed in seq_by_last[j - 1]
-                if needed < width
-                and best[first][width - 1 - needed] + gain > row[needed]]
-        if not live:
-            continue
-        # All candidate rows at once: stack[0] keeps BSB j-1 in
-        # software; stack[i] moves sequence live[i-1].  argmax takes the
-        # first row achieving the maximum, which reproduces the
-        # sequential strict-> relaxation's tie-break (earliest wins).
-        stack = _np.full((len(live) + 1, width), -_np.inf)
-        stack[0] = row
-        for index, (first, gain, needed) in enumerate(live, start=1):
-            stack[index, needed:] = best[first][:width - needed] + gain
-        winner = stack.argmax(axis=0)
-        row[:] = stack[winner, columns]
-        updated = _np.nonzero(winner)[0]
-        if updated.size:
-            firsts = _np.fromiter((entry[0] for entry in live),
-                                  dtype=_np.int32, count=len(live))
-            neededs = _np.fromiter((entry[2] for entry in live),
-                                   dtype=_np.int32, count=len(live))
-            chosen = winner[updated] - 1
-            choice_first[j, updated] = firsts[chosen]
-            choice_wprev[j, updated] = updated - neededs[chosen]
-
-    hw_sequences = []
-    j, w = count, width - 1
-    total_saving = float(best[count, width - 1])
-    while j > 0:
-        first = int(choice_first[j, w])
-        if first < 0:
-            j -= 1
-            continue
-        w_prev = int(choice_wprev[j, w])
-        hw_sequences.append((first, j - 1))
-        j, w = first, w_prev
-    hw_sequences.reverse()
-    return total_saving, hw_sequences
+    return rows[count][width - 1], hw_sequences
 
 
 def pace_partition(costs, architecture, available_area, area_quanta=400,
@@ -336,13 +272,15 @@ def pace_partition(costs, architecture, available_area, area_quanta=400,
         architecture: The :class:`~repro.partition.model.TargetArchitecture`.
         available_area: Area left for controllers (total ASIC area minus
             the pre-allocated data-path).
-        area_quanta: Resolution of the DP's area axis.
+        area_quanta: Resolution of the DP's area axis, an ``int`` >= 1.
         sequence_table: Optional pre-built :class:`SequenceTable` for
             exactly these ``costs`` under exactly this communication
             model; reused across calls with different available areas.
     """
-    if area_quanta < 1:
-        raise PartitionError("area_quanta must be >= 1")
+    if (not isinstance(area_quanta, int) or isinstance(area_quanta, bool)
+            or area_quanta < 1):
+        raise PartitionError("area_quanta must be an int >= 1, got %r"
+                             % (area_quanta,))
     costs = list(costs)
     count = len(costs)
     sw_time_all = sum(cost.sw_time for cost in costs)
@@ -363,18 +301,7 @@ def pace_partition(costs, architecture, available_area, area_quanta=400,
     seq_by_last = _quantized_by_last(
         sequence_table.positive_entries(available_area), quantum, count)
 
-    # best[j][w]: max saving considering BSBs[0..j-1] with w quanta;
-    # the choice arrays record, per state, the moved sequence's first
-    # index (-1: BSB j-1 stays in software) and the w it transitioned
-    # from.  Both paths perform the identical float additions and strict
-    # comparisons in the identical order, so their savings and choices
-    # are bit-for-bit the same; the numpy path relaxes whole area rows
-    # at once, which only pays off once the instance is large enough to
-    # amortise the per-vector overhead.
-    if _np is not None and count >= _NUMPY_DP_MIN_BSBS:
-        total_saving, hw_sequences = _dp_numpy(count, width, seq_by_last)
-    else:
-        total_saving, hw_sequences = _dp_python(count, width, seq_by_last)
+    total_saving, hw_sequences = _dp(count, width, seq_by_last)
 
     hw_names = []
     controller_area_used = 0.0

@@ -48,6 +48,12 @@ class TestDesignPoint:
         with pytest.raises(ReproError):
             DesignPoint(app="hal", quanta=0)
 
+    @pytest.mark.parametrize("quanta", [150.5, 150.0, True, "150", None])
+    def test_rejects_non_int_quanta(self, quanta):
+        # Caught at construction, not deep inside PACE at evaluation.
+        with pytest.raises(ReproError, match="int >= 1"):
+            DesignPoint(app="hal", quanta=quanta)
+
     def test_points_are_immutable(self):
         with pytest.raises(Exception):
             DesignPoint(app="hal").quanta = 7

@@ -108,6 +108,12 @@ class TestBasics:
         with pytest.raises(PartitionError):
             pace_partition([], architecture, 100.0, area_quanta=0)
 
+    @pytest.mark.parametrize("quanta", [150.5, 150.0, True, "150"])
+    def test_non_int_quanta_rejected(self, architecture, quanta):
+        costs = [make_cost("b0", 1000, 10, 60)]
+        with pytest.raises(PartitionError, match="int >= 1"):
+            pace_partition(costs, architecture, 100.0, area_quanta=quanta)
+
 
 class TestSequences:
     def test_adjacent_bsbs_merge_to_save_comm(self, architecture):

@@ -1,14 +1,15 @@
 """Tests for the prunable SequenceTable and the PACE DP rewrite."""
 
 import math
+import random
 
 import pytest
 
-import repro.partition.pace as pace_module
 from repro.partition.communication import sequence_communication_time
 from repro.partition.model import BSBCost, TargetArchitecture
 from repro.partition.pace import (
     SequenceTable,
+    _dp,
     _quantize,
     _quantized_by_last,
     pace_partition,
@@ -97,6 +98,12 @@ class TestSequenceTable:
         assert (3, 3) not in entries       # "d" itself
         assert (4, 4) in entries
 
+    def test_entries_result_is_the_callers_copy(self, costs, architecture):
+        table = SequenceTable(costs, architecture)
+        table.entries(1000.0).clear()
+        assert table.entries(1000.0) == \
+            reference_tables(costs, architecture, 1000.0)
+
     def test_positive_entries_consistent(self, costs, architecture):
         table = SequenceTable(costs, architecture)
         entries = table.entries(1000.0)
@@ -141,20 +148,93 @@ class TestQuantize:
                 [_quantize(area, quantum) for area in areas]
 
 
+def oracle_dp(count, width, seq_by_last):
+    """Sequential strict-> relaxation recording choices: the reference.
+
+    A pure-Python DP that records each choice as it relaxes; the numpy
+    kernel re-derives its choices in the backtrack and must agree with
+    it exactly, savings and chosen sequences alike.
+
+    Returns (total saving, chosen (first, last) pairs in array order).
+    """
+    best = [[0.0] * width]
+    choice = [[None] * width]
+    for j in range(1, count + 1):
+        row = best[j - 1][:]
+        choice_row = [None] * width
+        for first, gain, needed in seq_by_last[j - 1]:
+            if needed >= width:
+                continue
+            base = best[first]
+            # Rows are nondecreasing in w (more area never hurts), so a
+            # sequence whose best candidate cannot beat the cheapest
+            # target state cannot improve anything.
+            if base[width - 1 - needed] + gain <= row[needed]:
+                continue
+            w = needed
+            for base_value in base[:width - needed]:
+                candidate = base_value + gain
+                if candidate > row[w]:
+                    row[w] = candidate
+                    choice_row[w] = (first, w - needed)
+                w += 1
+        best.append(row)
+        choice.append(choice_row)
+
+    hw_sequences = []
+    j, w = count, width - 1
+    while j > 0:
+        picked = choice[j][w]
+        if picked is None:
+            j -= 1
+            continue
+        first, w_prev = picked
+        hw_sequences.append((first, j - 1))
+        j, w = first, w_prev
+    hw_sequences.reverse()
+    return best[count][width - 1], hw_sequences
+
+
+def random_instance(rng):
+    """A small DP instance biased towards ties and edge widths."""
+    count = rng.randint(1, 9)
+    width = rng.choice([1, 1, 2, 3, 5, 8, 13])
+    pool = rng.choice([
+        [1.0, 2.0, 3.0],                 # integer, duplicate gains
+        [0.1, 0.2, 0.3],                 # 0.1 + 0.2 != 0.3 collisions
+        [rng.uniform(0.5, 9.5) for _ in range(4)],
+    ])
+    seq_by_last = []
+    for last in range(count):
+        firsts = sorted(rng.sample(range(last + 1),
+                                   rng.randint(0, last + 1)))
+        # needed may reach past the area axis (needed >= width).
+        seq_by_last.append([(first, rng.choice(pool),
+                             rng.randint(1, width + 2))
+                            for first in firsts])
+    return count, width, seq_by_last
+
+
+def same_result(left, right):
+    return (repr(left[0]), left[1]) == (repr(right[0]), right[1])
+
+
 class TestDpPathEquality:
     @pytest.mark.parametrize("available", [100.0, 180.0, 260.0, 310.0])
-    def test_numpy_and_python_paths_identical(self, costs, architecture,
-                                              available, monkeypatch):
-        if pace_module._np is None:
-            pytest.skip("numpy unavailable")
-        # Force both paths over the same instance regardless of size.
-        monkeypatch.setattr(pace_module, "_NUMPY_DP_MIN_BSBS", 0)
-        vectorised = pace_partition(costs, architecture, available,
-                                    area_quanta=57)
-        monkeypatch.setattr(pace_module, "_np", None)
-        plain = pace_partition(costs, architecture, available,
-                               area_quanta=57)
-        assert vectorised == plain
+    def test_kernel_matches_oracle(self, costs, architecture, available):
+        width = 58
+        seq_by_last = _quantized_by_last(
+            SequenceTable(costs, architecture).positive_entries(available),
+            available / (width - 1), len(costs))
+        assert same_result(_dp(len(costs), width, seq_by_last),
+                           oracle_dp(len(costs), width, seq_by_last))
+
+    def test_kernel_matches_oracle_on_tie_heavy_instances(self):
+        rng = random.Random(20260417)
+        for _ in range(300):
+            instance = random_instance(rng)
+            assert same_result(_dp(*instance), oracle_dp(*instance)), \
+                instance
 
     def test_shared_table_matches_fresh(self, costs, architecture):
         table = SequenceTable(costs, architecture)
