@@ -71,29 +71,45 @@ class SequenceTable:
     ``architecture`` it was built from.
     """
 
-    __slots__ = ("_costs", "_architecture", "_entries", "_horizon",
-                 "_resume", "_positive", "_fields")
+    __slots__ = ("_costs", "_architecture", "_entries", "_horizon", "_resume",
+                 "_positive", "_fields", "sw_time_all", "total_static")
 
     def __init__(self, costs, architecture):
+        # Built lazily by _prepare: a partition hit never pays for it.
         self._costs = list(costs)
         self._architecture = architecture
         self._entries = {}
         self._positive = []
         self._horizon = 0.0
+        self._fields = None
+
+    def _prepare(self):
+        self.sw_time_all = sum(cost.sw_time for cost in self._costs)
+        self.total_static = sum(_op_count(cost) for cost in self._costs)
+        # Variable names become bits in first-seen order: int masks are
+        # not GC-tracked, unlike sets held by thousands of cached tables.
+        bits = {}
+
+        def mask(names):
+            value = 0
+            for name in names:
+                value |= bits.setdefault(name, 1 << len(bits))
+            return value
+
         # Cost attributes unpacked once into parallel tuples: the build
         # loop below touches each many times per row and dataclass
         # attribute loads dominate it otherwise.
         self._fields = tuple(
-            (cost.movable, cost.controller_area, cost.reads, cost.writes,
-             cost.profile_count,
+            (cost.movable, cost.controller_area, mask(cost.reads),
+             mask(cost.writes), cost.profile_count,
              (cost.sw_time - cost.hw_time) if cost.movable else 0.0)
             for cost in self._costs)
         # Per-first continuation: first -> (next last index, area, live-in
-        # set, defined set, min profile count, gain sum) — the incremental
+        # mask, defined mask, min profile count, gain sum) — the incremental
         # state from which appending one more BSB extends the row in O(1)
-        # set-delta work instead of re-walking the whole segment.  A row
+        # mask work instead of re-walking the whole segment.  A row
         # leaves the map once it hits an unmovable BSB or the array end.
-        self._resume = {first: (first, 0.0, set(), set(), float("inf"), 0.0)
+        self._resume = {first: (first, 0.0, 0, 0, float("inf"), 0.0)
                         for first, cost in enumerate(self._costs)
                         if cost.movable}
 
@@ -143,6 +159,8 @@ class SequenceTable:
         # the activation count is the running min profile count, and the
         # gain sum accumulates in the same left-to-right order as the
         # from-scratch sum() — so entries are bit-identical to a rebuild.
+        if self._fields is None:
+            self._prepare()
         fields = self._fields
         comm_per_word = self._architecture.comm_cycles_per_word
         count = len(fields)
@@ -160,14 +178,13 @@ class SequenceTable:
                 if area + controller_area > horizon:
                     break
                 area += controller_area
-                live_in |= (reads - defined)
+                live_in |= reads & ~defined
                 defined |= writes
                 if profile < min_profile:
                     min_profile = profile
                 gain_sum += time_delta
-                comm = comm_per_word * ((len(live_in) + len(defined))
-                                        * min_profile)
-                gain = gain_sum - comm
+                words = live_in.bit_count() + defined.bit_count()
+                gain = gain_sum - comm_per_word * (words * min_profile)
                 entries[(first, last)] = (gain, area)
                 if gain > 0:
                     positive.append((last, first, gain, area))
@@ -222,7 +239,7 @@ def _quantized_by_last(positive, quantum, count):
 def _dp(count, width, seq_by_last):
     """The knapsack-with-sequences DP over dense numpy area rows.
 
-    ``best[j, w]`` is the max saving considering BSBs[0..j-1] with ``w``
+    ``rows[j][w]`` is the max saving considering BSBs[0..j-1] with ``w``
     quanta.  The forward pass records no choices: the backtrack
     re-derives each one from the table.  That is exact because every
     candidate value is produced by the same float addition in both
@@ -233,34 +250,31 @@ def _dp(count, width, seq_by_last):
 
     Returns (total saving, chosen (first, last) pairs in array order).
     """
-    best = np.zeros((count + 1, width))
-    # One view per row, sliced from a list: cheaper than 2-D indexing
-    # in the inner loop.
-    views = list(best)
+    # A row no sequence ends at aliases its predecessor: no copy.
+    rows = [np.zeros(width)]
     maximum = np.maximum
-    for j in range(1, count + 1):
-        row = views[j]
-        row[:] = views[j - 1]
-        for first, gain, needed in seq_by_last[j - 1]:
+    for sequences in seq_by_last:
+        row = rows[-1].copy() if sequences else rows[-1]
+        for first, gain, needed in sequences:
             if needed < width:
                 tail = row[needed:]
-                maximum(tail, views[first][:width - needed] + gain, out=tail)
+                maximum(tail, rows[first][:width - needed] + gain, out=tail)
+        rows.append(row)
 
-    rows = best.tolist()
     hw_sequences = []
     j, w = count, width - 1
     while j > 0:
-        value = rows[j][w]
-        if value == rows[j - 1][w]:
+        value = rows[j][w].item()
+        if value == rows[j - 1][w].item():
             j -= 1
             continue
         for first, gain, needed in seq_by_last[j - 1]:
-            if needed <= w and rows[first][w - needed] + gain == value:
+            if needed <= w and rows[first][w - needed].item() + gain == value:
                 break
         hw_sequences.append((first, j - 1))
         j, w = first, w - needed
     hw_sequences.reverse()
-    return rows[count][width - 1], hw_sequences
+    return rows[count][width - 1].item(), hw_sequences
 
 
 def pace_partition(costs, architecture, available_area, area_quanta=400,
@@ -283,9 +297,9 @@ def pace_partition(costs, architecture, available_area, area_quanta=400,
                              % (area_quanta,))
     costs = list(costs)
     count = len(costs)
-    sw_time_all = sum(cost.sw_time for cost in costs)
 
     if available_area <= 0 or count == 0:
+        sw_time_all = sum(cost.sw_time for cost in costs)
         return PartitionResult(
             sw_time_all=sw_time_all, hybrid_time=sw_time_all,
             speedup=0.0, available_area=max(0.0, available_area))
@@ -300,6 +314,8 @@ def pace_partition(costs, architecture, available_area, area_quanta=400,
     width = area_quanta + 1
     seq_by_last = _quantized_by_last(
         sequence_table.positive_entries(available_area), quantum, count)
+    sw_time_all = sequence_table.sw_time_all
+    total_static = sequence_table.total_static
 
     total_saving, hw_sequences = _dp(count, width, seq_by_last)
 
@@ -316,7 +332,6 @@ def pace_partition(costs, architecture, available_area, area_quanta=400,
     # application moved to hardware (man moves only "8%" yet gets a 31x
     # speed-up because that 8% dominates the runtime) — so weigh each
     # BSB by its per-execution size, not by its profile count.
-    total_static = sum(_op_count(cost) for cost in costs)
     for first, last in hw_sequences:
         for index in range(first, last + 1):
             hw_weighted_ops += _op_count(costs[index])

@@ -77,3 +77,22 @@ class TestEvaluate:
                                        "divider": 1}),
                             architecture, cache=cache)
         assert len(cache.sched) == populated  # divider is irrelevant
+
+    def test_partition_hit_leaves_fresh_table_unbuilt(self, library, app):
+        architecture = TargetArchitecture(library=library,
+                                          total_area=10000.0)
+        allocation = RMap({"multiplier": 2, "adder": 3})
+        cache = EvalCache()
+        first = evaluate_allocation(app, allocation, architecture,
+                                    cache=cache, remember="partitions")
+        cache.tables.clear()
+        second = evaluate_allocation(app, allocation, architecture,
+                                     cache=cache, remember="partitions")
+        assert second.partition is first.partition
+        (table,) = cache.tables.values()
+        assert len(table) == 0
+        assert table.horizon == 0.0
+        assert table._fields is None  # nothing unpacked either
+        stats = cache.stats.snapshot()
+        assert stats["table"] == (0, 2)
+        assert stats["partition"] == (1, 1)

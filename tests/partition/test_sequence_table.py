@@ -1,11 +1,16 @@
 """Tests for the prunable SequenceTable and the PACE DP rewrite."""
 
+import gc
 import math
 import random
 
 import pytest
 
-from repro.partition.communication import sequence_communication_time
+from repro.partition.communication import (
+    sequence_communication_time,
+    sequence_live_in,
+    sequence_live_out,
+)
 from repro.partition.model import BSBCost, TargetArchitecture
 from repro.partition.pace import (
     SequenceTable,
@@ -114,6 +119,50 @@ class TestSequenceTable:
             assert entries[(first, last)] == (gain, area)
 
 
+def wide_costs():
+    """Twelve BSBs over 90 variable names: masks wider than one word.
+
+    Every BSB re-reads a variable its predecessor wrote and re-writes
+    one of its own live-ins; the sixth BSB is unmovable.
+    """
+    rng = random.Random(20261017)
+    names = ["v%d" % index for index in range(90)]
+    costs = []
+    previous_writes = ["v0"]
+    for index in range(12):
+        reads = set(rng.sample(names, 9)) | {previous_writes[0]}
+        writes = set(rng.sample(names, 7)) | {sorted(reads)[0]}
+        costs.append(make_cost(
+            "w%d" % index, rng.randint(200, 2000),
+            None if index == 5 else rng.randint(20, 150),
+            rng.randint(10, 90), profile=rng.randint(1, 6),
+            reads=reads, writes=writes))
+        previous_writes = sorted(writes)
+    return costs
+
+
+class TestWideMasks:
+    def test_entries_match_reference_past_64_names(self, architecture):
+        costs = wide_costs()
+        words = (len(sequence_live_in(costs[6:]))
+                 + len(sequence_live_out(costs[6:])))
+        assert words > 64
+        table = SequenceTable(costs, architecture)
+        for available in (60.0, 150.0, 400.0, 2000.0, 300.0, 90.0):
+            assert table.entries(available) == \
+                reference_tables(costs, architecture, available)
+        assert (6, 11) in table.entries(2000.0)
+
+
+class TestRowStateGc:
+    def test_row_state_holds_no_gc_tracked_object(self, architecture):
+        table = SequenceTable(wide_costs(), architecture)
+        table.entries(150.0)
+        assert 0 < len(table) and table._resume
+        for state in table._resume.values():
+            assert not any(gc.is_tracked(item) for item in state), state
+
+
 class TestQuantize:
     def test_exact_multiples_do_not_round_up(self):
         assert _quantize(3.0, 1.0) == 3
@@ -195,8 +244,12 @@ def oracle_dp(count, width, seq_by_last):
     return best[count][width - 1], hw_sequences
 
 
-def random_instance(rng):
-    """A small DP instance biased towards ties and edge widths."""
+def random_instance(rng, keep=lambda last, count: True):
+    """A small DP instance biased towards ties and edge widths.
+
+    Rows ``keep(last, count)`` rejects get no sequence: the kernel
+    aliases such a row to its predecessor instead of copying it.
+    """
     count = rng.randint(1, 9)
     width = rng.choice([1, 1, 2, 3, 5, 8, 13])
     pool = rng.choice([
@@ -206,6 +259,9 @@ def random_instance(rng):
     ])
     seq_by_last = []
     for last in range(count):
+        if not keep(last, count):
+            seq_by_last.append([])
+            continue
         firsts = sorted(rng.sample(range(last + 1),
                                    rng.randint(0, last + 1)))
         # needed may reach past the area axis (needed >= width).
@@ -235,6 +291,20 @@ class TestDpPathEquality:
             instance = random_instance(rng)
             assert same_result(_dp(*instance), oracle_dp(*instance)), \
                 instance
+
+    @pytest.mark.parametrize("keep", [
+        lambda last, count: False,
+        lambda last, count: last == 0,
+        lambda last, count: last == count - 1,
+        lambda last, count: last % 2 == 1,
+    ], ids=["all-empty", "only-first", "only-last", "alternating"])
+    def test_kernel_matches_oracle_with_empty_rows(self, keep):
+        rng = random.Random(20261017)
+        for _ in range(200):
+            instance = random_instance(rng, keep)
+            result = _dp(*instance)
+            assert type(result[0]) is float
+            assert same_result(result, oracle_dp(*instance)), instance
 
     def test_shared_table_matches_fresh(self, costs, architecture):
         table = SequenceTable(costs, architecture)
